@@ -117,23 +117,33 @@ func TestBroadcastAllScalesLinearlyInM(t *testing.T) {
 	}
 }
 
+// TestConvergecastSum: a BFS stage plus the tree-fold stage sum every
+// vertex's value at the root in O(D) rounds.
 func TestConvergecastSum(t *testing.T) {
 	g := graph.Grid(5, 9, 2, 1)
-	values := make([]int64, g.N())
-	var want int64
+	const root = 3
+	values := make([]float64, g.N())
+	var want float64
 	for v := range values {
-		values[v] = int64(v * v % 13)
+		values[v] = float64(v * v % 13)
 		want += values[v]
 	}
-	got, stats, err := RunConvergecastSum(g, 3, values, 1)
-	if err != nil {
+	pipe := NewPipeline(g, Options{Seed: 1})
+	parent := make([]graph.EdgeID, g.N())
+	depth := make([]int32, g.N())
+	if _, err := pipe.RunStage("bfs", BFSFactory(root, parent, depth)); err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("sum = %d want %d", got, want)
+	var pools StagePools
+	sum := make([]float64, g.N())
+	if _, err := pipe.RunStage("fold", pools.TreeFold(g.N(), root, parent, values, sum)); err != nil {
+		t.Fatal(err)
 	}
-	if d := g.HopDiameter(); stats.Rounds > 4*d+10 {
-		t.Fatalf("convergecast took %d rounds for D=%d", stats.Rounds, d)
+	if sum[root] != want {
+		t.Fatalf("sum = %v want %v", sum[root], want)
+	}
+	if d := g.HopDiameter(); pipe.Total().Rounds > 4*d+10 {
+		t.Fatalf("convergecast took %d rounds for D=%d", pipe.Total().Rounds, d)
 	}
 }
 

@@ -11,16 +11,18 @@ package congest
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lightnet/internal/graph"
 )
 
 // CheckBFS validates distributed BFS outputs against the sequential hop
-// oracle want (e.g. graph.BFSHopsMasked): every surviving vertex has the
-// oracle depth, and every non-root survivor's parent edge is a real
-// incident edge descending one hop toward the root. alive is the
-// surviving-vertex mask (nil: all).
-func CheckBFS(g *graph.Graph, rt graph.Vertex, alive []bool,
+// oracle want (e.g. graph.BFSHopsMasked over the same allowed edges;
+// nil allows all): every surviving vertex has the oracle depth, and
+// every non-root survivor's parent is its smallest-id allowed edge into
+// the previous layer — the canonical tree of graph.BFSTree, which a
+// fault-free run builds. alive is the surviving-vertex mask (nil: all).
+func CheckBFS(g *graph.Graph, rt graph.Vertex, alive, allowed []bool,
 	parent []graph.EdgeID, depth []int32, want []int32) error {
 	for v := 0; v < g.N(); v++ {
 		if alive != nil && !alive[v] {
@@ -32,19 +34,46 @@ func CheckBFS(g *graph.Graph, rt graph.Vertex, alive []bool,
 		if graph.Vertex(v) == rt || want[v] < 0 {
 			continue
 		}
-		pe := parent[v]
-		if pe == graph.NoEdge {
-			return fmt.Errorf("vertex %d reached at depth %d but has no parent edge", v, depth[v])
+		canon := graph.NoEdge
+		for _, h := range g.Neighbors(graph.Vertex(v)) {
+			if (allowed == nil || allowed[h.ID]) && want[h.To] == want[v]-1 &&
+				(canon == graph.NoEdge || h.ID < canon) {
+				canon = h.ID
+			}
 		}
-		e := g.Edge(pe)
-		if e.U != graph.Vertex(v) && e.V != graph.Vertex(v) {
-			return fmt.Errorf("vertex %d parent edge %d is not incident to it", v, pe)
-		}
-		if depth[e.Other(graph.Vertex(v))] != depth[v]-1 {
-			return fmt.Errorf("vertex %d parent edge %d does not descend toward the root", v, pe)
+		if parent[v] != canon {
+			return fmt.Errorf("vertex %d has parent edge %d, canonical BFS parent is %d", v, parent[v], canon)
 		}
 	}
 	return nil
+}
+
+// FoldTree is the sequential twin of the tree-fold stage
+// (StagePools.TreeFold): the sum of own over the tree given by parent
+// and depth (depth < 0 marks vertices off the tree), folded bottom-up —
+// each vertex adds its children's subtree sums to own[v] in ascending
+// child id. It returns the root's (the depth-0 vertex's) subtree sum,
+// bit-identical to the distributed fold on the same tree.
+func FoldTree(g *graph.Graph, parent []graph.EdgeID, depth []int32, own []float64) float64 {
+	var layers [][]graph.Vertex
+	for v, d := range depth {
+		if d < 0 {
+			continue
+		}
+		for int(d) >= len(layers) {
+			layers = append(layers, nil)
+		}
+		layers[d] = append(layers[d], graph.Vertex(v))
+	}
+	acc := slices.Clone(own)
+	// Children of one vertex share a layer, listed in ascending id, and
+	// every deeper layer is folded before them.
+	for d := len(layers) - 1; d > 0; d-- {
+		for _, v := range layers[d] {
+			acc[g.Edge(parent[v]).Other(v)] += acc[v]
+		}
+	}
+	return acc[layers[0][0]]
 }
 
 // DistFromParents resolves per-vertex distances from rt along a parent

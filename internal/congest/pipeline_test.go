@@ -33,13 +33,7 @@ func TestPipelineStagesShareState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantParent, wantDepth := g.BFSTree(root)
-	for v := range wantDepth {
-		if depth[v] != wantDepth[v] {
-			t.Fatalf("vertex %d: depth %d want %d", v, depth[v], wantDepth[v])
-		}
-		_ = wantParent
-	}
+	requireCanonicalBFS(t, g, root, parent, depth)
 	stages := p.Stages()
 	if len(stages) != 2 || stages[0].Name != "leader" || stages[1].Name != "bfs" {
 		t.Fatalf("stage record wrong: %+v", stages)
@@ -47,6 +41,69 @@ func TestPipelineStagesShareState(t *testing.T) {
 	total := p.Total()
 	if total.Rounds != s1.Rounds+s2.Rounds || total.Messages != s1.Messages+s2.Messages {
 		t.Fatalf("stage stats do not sum to total: %+v + %+v != %+v", s1, s2, total)
+	}
+}
+
+// requireCanonicalBFS asserts that an engine BFS built exactly the tree
+// graph.BFSTree returns: same depths, same smallest-id parent edges.
+func requireCanonicalBFS(t *testing.T, g *graph.Graph, root graph.Vertex, parent []graph.EdgeID, depth []int32) {
+	t.Helper()
+	wantParent, wantDepth := g.BFSTree(root)
+	for v := range wantDepth {
+		if depth[v] != wantDepth[v] || parent[v] != wantParent[v] {
+			t.Fatalf("vertex %d: depth %d parent %d, want depth %d parent %d",
+				v, depth[v], parent[v], wantDepth[v], wantParent[v])
+		}
+	}
+}
+
+// TestPipelineBFSCanonicalUnderFaults: delayed and duplicated messages
+// do not change the BFS tree — on equal depth a vertex keeps the
+// smaller edge, so it settles on the fault-free, canonical parent.
+func TestPipelineBFSCanonicalUnderFaults(t *testing.T) {
+	g := graph.ErdosRenyi(150, 0.05, 9, 7)
+	plan := &FaultPlan{Seed: 11, Duplicate: 0.15, Delay: 0.25, MaxDelay: 4}
+	for _, workers := range []int{1, 4} {
+		p := NewPipeline(g, Options{Seed: 3, Workers: workers, Faults: plan})
+		parent := make([]graph.EdgeID, g.N())
+		depth := make([]int32, g.N())
+		if _, err := p.RunStage("bfs", BFSFactory(2, parent, depth)); err != nil {
+			t.Fatal(err)
+		}
+		if fs := p.FaultStats(); fs.Duplicated == 0 || fs.Delayed == 0 {
+			t.Fatalf("fault plan injected nothing: %+v", fs)
+		}
+		requireCanonicalBFS(t, g, 2, parent, depth)
+		if err := CheckBFS(g, 2, nil, nil, parent, depth, g.BFSHops(2)); err != nil {
+			t.Fatalf("CheckBFS rejects the canonical tree: %v", err)
+		}
+	}
+}
+
+// TestCheckBFSRejectsNonCanonicalParent: a parent edge that descends one
+// hop but is not the smallest such edge fails validation.
+func TestCheckBFSRejectsNonCanonicalParent(t *testing.T) {
+	// A square 0-1-3-2-0: vertex 3 has two parents at depth 1.
+	g := graph.New(4)
+	g.MustAddEdge(0, 1, 1)
+	g.MustAddEdge(0, 2, 1)
+	e13 := g.MustAddEdge(1, 3, 1)
+	e23 := g.MustAddEdge(2, 3, 1)
+	parent, depth := g.BFSTree(0)
+	if parent[3] != e13 {
+		t.Fatalf("BFSTree parent of 3 is %d, want the smaller edge %d", parent[3], e13)
+	}
+	if err := CheckBFS(g, 0, nil, nil, parent, depth, depth); err != nil {
+		t.Fatal(err)
+	}
+	parent[3] = e23
+	if err := CheckBFS(g, 0, nil, nil, parent, depth, depth); err == nil {
+		t.Fatal("CheckBFS accepted a non-canonical parent")
+	}
+	// Restricted to the edges that avoid e13, e23 is canonical again.
+	allowed := []bool{true, true, false, true}
+	if err := CheckBFS(g, 0, nil, allowed, parent, depth, depth); err != nil {
+		t.Fatalf("restricted CheckBFS: %v", err)
 	}
 }
 

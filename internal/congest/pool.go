@@ -44,7 +44,7 @@ func (sp *StagePool[P]) Slots(n int) []P {
 }
 
 // StagePools bundles pooled per-vertex state for the engine-owned stage
-// programs (Borůvka MST, BFS tree, tuple funnel, word flood). A
+// programs (Borůvka MST, BFS tree, tree fold, word flood). A
 // measured pipeline allocates one StagePools next to its
 // congest.Pipeline and builds stage factories from its methods instead
 // of the package-level *Factory functions: same programs, same
@@ -54,7 +54,7 @@ func (sp *StagePool[P]) Slots(n int) []P {
 type StagePools struct {
 	boruvka StagePool[boruvkaProgram]
 	bfs     StagePool[bfsProgram]
-	funnel  StagePool[funnelProgram]
+	fold    StagePool[treeFoldProgram]
 	flood   StagePool[floodWordProgram]
 }
 
@@ -85,16 +85,19 @@ func (sp *StagePools) BFS(n int, root graph.Vertex, parent []graph.EdgeID, depth
 	}
 }
 
-// Funnel is the pooled counterpart of FunnelFactory for a graph of n
-// vertices.
-func (sp *StagePools) Funnel(n int, root graph.Vertex, parent []graph.EdgeID, width int, initial [][]int64, sink *[]int64) func(graph.Vertex) Program {
-	slots := sp.funnel.Slots(n)
+// TreeFold returns the tree-fold convergecast stage for a graph of n
+// vertices: every vertex on the tree rooted at root (parent edges from
+// a preceding BFS stage) writes its subtree sum of own into sum, and
+// sum[root] is the total — bit-identical to FoldTree on the same tree.
+// Measured rounds are the tree's depth plus one, messages twice its
+// edge count.
+func (sp *StagePools) TreeFold(n int, root graph.Vertex, parent []graph.EdgeID, own, sum []float64) func(graph.Vertex) Program {
+	slots := sp.fold.Slots(n)
 	return func(v graph.Vertex) Program {
 		p := &slots[v]
-		*p = funnelProgram{
-			root: root, parent: parent, width: width,
-			initial: initial, sink: sink,
-			queue: p.queue[:0],
+		*p = treeFoldProgram{
+			root: root, parent: parent, own: own, sum: sum,
+			children: p.children[:0], got: p.got[:0], have: p.have[:0],
 		}
 		return p
 	}

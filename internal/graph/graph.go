@@ -661,8 +661,11 @@ func (g *Graph) ComponentMask(src Vertex, blocked []bool) []bool {
 	return mask
 }
 
-// BFSTree returns a BFS tree from src: per-vertex parent edge id (NoEdge
-// for src and unreachable vertices) and hop distances.
+// BFSTree returns the canonical BFS tree from src: per-vertex parent
+// edge id (NoEdge for src and unreachable vertices) and hop distances.
+// A vertex's parent is its smallest-id edge into the previous layer —
+// the tree the distributed BFS builds, whose inboxes arrive in edge-id
+// order.
 func (g *Graph) BFSTree(src Vertex) (parent []EdgeID, hops []int32) {
 	parent = make([]EdgeID, g.n)
 	hops = make([]int32, g.n)
@@ -677,10 +680,13 @@ func (g *Graph) BFSTree(src Vertex) (parent []EdgeID, hops []int32) {
 		v := queue[0]
 		queue = queue[1:]
 		for _, h := range g.Neighbors(v) {
-			if hops[h.To] < 0 {
+			switch {
+			case hops[h.To] < 0:
 				hops[h.To] = hops[v] + 1
 				parent[h.To] = h.ID
 				queue = append(queue, h.To)
+			case hops[h.To] == hops[v]+1 && h.ID < parent[h.To]:
+				parent[h.To] = h.ID
 			}
 		}
 	}

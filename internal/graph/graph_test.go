@@ -144,6 +144,33 @@ func TestBFSAndHopDiameter(t *testing.T) {
 	}
 }
 
+// TestBFSTreeSmallestParentEdge: a vertex's BFS parent is its
+// smallest-id edge into the previous layer, not the edge to whichever
+// previous-layer vertex the queue reached first.
+func TestBFSTreeSmallestParentEdge(t *testing.T) {
+	g := New(4)
+	g.MustAddEdge(0, 1, 1)
+	g.MustAddEdge(0, 2, 1)
+	e23 := g.MustAddEdge(2, 3, 1)
+	g.MustAddEdge(1, 3, 1)
+	if parent, _ := g.BFSTree(0); parent[3] != e23 {
+		t.Fatalf("parent of 3 is edge %d, want the smallest edge into layer 1 (%d)", parent[3], e23)
+	}
+	r := ErdosRenyi(200, 0.05, 5, 9)
+	parent, hops := r.BFSTree(7)
+	for v := 0; v < r.N(); v++ {
+		want := NoEdge
+		for _, h := range r.Neighbors(Vertex(v)) {
+			if hops[v] > 0 && hops[h.To] == hops[v]-1 && (want == NoEdge || h.ID < want) {
+				want = h.ID
+			}
+		}
+		if parent[v] != want {
+			t.Fatalf("vertex %d: parent %d, smallest edge into the previous layer %d", v, parent[v], want)
+		}
+	}
+}
+
 func TestDijkstraOnKnownGraph(t *testing.T) {
 	// Diamond: 0-1 (1), 0-2 (4), 1-2 (1), 2-3 (1), 1-3 (5)
 	g := New(4)

@@ -78,13 +78,7 @@ func Kruskal(g *graph.Graph) ([]graph.EdgeID, float64, error) {
 		ids[i] = graph.EdgeID(i)
 	}
 	edges := g.Edges()
-	sort.Slice(ids, func(a, b int) bool {
-		ea, eb := edges[ids[a]], edges[ids[b]]
-		if ea.W != eb.W {
-			return ea.W < eb.W
-		}
-		return ids[a] < ids[b]
-	})
+	sortByWeight(edges, ids)
 	uf := NewUnionFind(g.N())
 	out := make([]graph.EdgeID, 0, g.N()-1)
 	var total float64
@@ -104,6 +98,36 @@ func Kruskal(g *graph.Graph) ([]graph.EdgeID, float64, error) {
 	return out, total, nil
 }
 
+// WeightOf returns the total weight of the edges set in the inTree mask
+// (indexed by edge id), summed in Kruskal's (w, id) order — for an MST
+// mask, bit-identical to the total Kruskal returns.
+func WeightOf(g *graph.Graph, inTree []bool) float64 {
+	var ids []graph.EdgeID
+	for id, in := range inTree {
+		if in {
+			ids = append(ids, graph.EdgeID(id))
+		}
+	}
+	edges := g.Edges()
+	sortByWeight(edges, ids)
+	var total float64
+	for _, id := range ids {
+		total += edges[id].W
+	}
+	return total
+}
+
+// sortByWeight sorts edge ids by the total (w, id) edge order.
+func sortByWeight(edges []graph.Edge, ids []graph.EdgeID) {
+	sort.Slice(ids, func(a, b int) bool {
+		ea, eb := edges[ids[a]], edges[ids[b]]
+		if ea.W != eb.W {
+			return ea.W < eb.W
+		}
+		return ids[a] < ids[b]
+	})
+}
+
 // KruskalSubset computes the minimum spanning forest of the subgraph of
 // g induced by the allowed edges (indexed by edge id; nil allows all),
 // with the same (weight, id) total order as Kruskal. It returns the
@@ -119,13 +143,7 @@ func KruskalSubset(g *graph.Graph, allowed []bool) ([]graph.EdgeID, int) {
 		}
 	}
 	edges := g.Edges()
-	sort.Slice(ids, func(a, b int) bool {
-		ea, eb := edges[ids[a]], edges[ids[b]]
-		if ea.W != eb.W {
-			return ea.W < eb.W
-		}
-		return ids[a] < ids[b]
-	})
+	sortByWeight(edges, ids)
 	uf := NewUnionFind(g.N())
 	var out []graph.EdgeID
 	for _, id := range ids {

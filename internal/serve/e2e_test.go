@@ -68,9 +68,10 @@ func TestEndToEndLoadgen(t *testing.T) {
 func TestShutdownDrainsInFlightBatches(t *testing.T) {
 	const n, inflight = 64, 30
 	nw := spannerNetwork(t, n, 13)
-	// A long window guarantees the requests are still parked in the
-	// batcher when Shutdown lands.
-	srv := NewServer(nw, Options{Batch: BatcherOptions{Window: 50 * time.Millisecond, MaxBatch: 1 << 20}})
+	// A long window keeps the requests parked in the batcher until all
+	// of them have arrived and Shutdown has landed.
+	const window = 500 * time.Millisecond
+	srv := NewServer(nw, Options{Batch: BatcherOptions{Window: window, MaxBatch: 1 << 20}})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -112,18 +113,24 @@ func TestShutdownDrainsInFlightBatches(t *testing.T) {
 		}(q)
 	}
 
-	// Let the requests reach the batcher, then shut down while the 50ms
-	// window is still open.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.batcher.Stats().Queries == 0 {
+	// Wait until every request has been accepted and reached the
+	// batcher, then shut down while the window is still open. Shutting
+	// down at the first pending query would race the other clients'
+	// dials: a connection still in the accept backlog is reset, not
+	// drained. A request counts as arrived when it is pending or, should
+	// a slow machine outlast the window, already answered. Reading the
+	// answered count before the pending list can only undercount.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		arrived := srv.batcher.Stats().Queries
 		srv.batcher.mu.Lock()
-		pending := len(srv.batcher.pending)
+		arrived += int64(len(srv.batcher.pending))
 		srv.batcher.mu.Unlock()
-		if pending > 0 {
+		if arrived >= inflight {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("requests never reached the batcher")
+			t.Fatalf("only %d of %d requests reached the batcher", arrived, inflight)
 		}
 		time.Sleep(time.Millisecond)
 	}

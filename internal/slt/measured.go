@@ -30,7 +30,6 @@ package slt
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"lightnet/internal/congest"
 	"lightnet/internal/graph"
@@ -206,7 +205,7 @@ func buildMeasured(g *graph.Graph, rt graph.Vertex, eps float64, opts Options) (
 	if faulty {
 		wantHops := g.BFSHopsMasked(rt, st.inTree)
 		treeValidate = func() error {
-			return congest.CheckBFS(g, rt, alive, st.treeParent, st.treeDepth, wantHops)
+			return congest.CheckBFS(g, rt, alive, st.inTree, st.treeParent, st.treeDepth, wantHops)
 		}
 	}
 	if err := run("tree", pools.BFS(n, rt, st.treeParent, st.treeDepth),
@@ -256,7 +255,7 @@ func buildMeasured(g *graph.Graph, rt graph.Vertex, eps float64, opts Options) (
 	if faulty {
 		wantHops := g.BFSHopsMasked(rt, aliveEdges)
 		bfsValidate = func() error {
-			return congest.CheckBFS(g, rt, alive, st.bfsParent, st.bfsDepth, wantHops)
+			return congest.CheckBFS(g, rt, alive, aliveEdges, st.bfsParent, st.bfsDepth, wantHops)
 		}
 	}
 	if err := run("bfs", pools.BFS(n, rt, st.bfsParent, st.bfsDepth),
@@ -331,23 +330,7 @@ func buildMeasured(g *graph.Graph, rt graph.Vertex, eps float64, opts Options) (
 func assembleMeasured(g *graph.Graph, st *mstate) *Result {
 	n := g.N()
 	// MST weight in Kruskal's (w, id) order — the accounted total.
-	ids := make([]graph.EdgeID, 0, n-1)
-	for id, in := range st.inTree {
-		if in {
-			ids = append(ids, graph.EdgeID(id))
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ea, eb := g.Edge(ids[a]), g.Edge(ids[b])
-		if ea.W != eb.W {
-			return ea.W < eb.W
-		}
-		return ids[a] < ids[b]
-	})
-	var mstWeight float64
-	for _, id := range ids {
-		mstWeight += g.Edge(id).W
-	}
+	mstWeight := mst.WeightOf(g, st.inTree)
 	breakPoints := 0
 	for v := range st.vs {
 		for _, b := range st.vs[v].bp {

@@ -35,16 +35,16 @@ type mstate struct {
 
 	pw1, pw2 []float64 // hash-perturbed substitute weights (seed, seed+1)
 
-	inTree     []bool          // stage mst: MST membership per edge id
-	treeParent []graph.EdgeID  // stage tree: parent edge in the rooted MST
-	treeDepth  []int32         // stage tree: hop depth in the rooted MST
-	sptParent  []graph.EdgeID  // stage spt: perturbed-SPT parent edge
-	rootDist   []float64       // stage spt-dist: true SPT distance from rt
-	bfsParent  []graph.EdgeID  // stage bfs: BFS-tree parent over all of G
-	bfsDepth   []int32
-	vs         []vtour         // per-vertex Euler-tour state
-	rootTuples []headTuple     // stage bp-heads: gathered at rt (rt-only write)
-	inH        []bool          // stage h-mark: SPT path edges added to H
+	inTree      []bool         // stage mst: MST membership per edge id
+	treeParent  []graph.EdgeID // stage tree: parent edge in the rooted MST
+	treeDepth   []int32        // stage tree: hop depth in the rooted MST
+	sptParent   []graph.EdgeID // stage spt: perturbed-SPT parent edge
+	rootDist    []float64      // stage spt-dist: true SPT distance from rt
+	bfsParent   []graph.EdgeID // stage bfs: BFS-tree parent over all of G
+	bfsDepth    []int32
+	vs          []vtour        // per-vertex Euler-tour state
+	rootTuples  []headTuple    // stage bp-heads: gathered at rt (rt-only write)
+	inH         []bool         // stage h-mark: SPT path edges added to H
 	finalParent []graph.EdgeID // stage final-spt
 	finalDist   []float64      // stage final-dist: true tree distance
 }
@@ -74,8 +74,8 @@ type vtour struct {
 	startUnit int64   // first-visit position index
 	pos       []int64 // appearance positions, increasing
 	r         []float64
-	bp        []bool // break-point mark per appearance
-	marked    bool   // h-mark: vertex lies on a root→break-point SPT path
+	bp        []bool                 // break-point mark per appearance
+	marked    bool                   // h-mark: vertex lies on a root→break-point SPT path
 	route     map[int64]graph.EdgeID // bp-heads: reverse route per head position
 }
 
@@ -444,9 +444,11 @@ func (p *bpWalkProg) forward(ctx *congest.Ctx, t *vtour, k int, anchor float64, 
 type bpHeadsProg struct {
 	congest.NoPhases
 	st *mstate
-	// queue[head:] is the token backlog; the head index (not forward
-	// re-slicing) keeps the backing array reusable across appends — see
-	// funnelProgram in internal/congest for the allocation rationale.
+	// queue[head:] is the token backlog. Consuming via a head index
+	// (not forward re-slicing) keeps the backing array reusable: a
+	// re-slice would pin the consumed prefix while forcing every append
+	// to grow a fresh tail (see "The head-index lesson" in
+	// docs/ARCHITECTURE.md).
 	queue []headTuple
 	head  int
 }
@@ -654,7 +656,7 @@ func (p *hMarkProg) mark(ctx *congest.Ctx, t *vtour) {
 // is dead the moment the next stage starts. sltPools owns one dense
 // slot slice per program type (congest.StagePool) and the factories
 // reset slots in place — per-vertex scratch (a downcast's waiting list,
-// a funnel's queue) keeps its capacity from stage to stage. The two
+// a relay's queue) keeps its capacity from stage to stage. The two
 // Bellman-Ford passes and the two downcasts share their pools.
 type sltPools struct {
 	spt   congest.StagePool[sptProg]

@@ -135,6 +135,9 @@ func BuildLight(g *graph.Graph, k int, eps float64, opts Options) (*Result, erro
 		}
 		return &Result{Edges: all, Lightness: 1}, nil
 	}
+	if int(opts.Root) < 0 || int(opts.Root) >= n {
+		return nil, fmt.Errorf("spanner: root %d out of range", opts.Root)
+	}
 	if opts.Mode == Measured {
 		return buildMeasured(g, k, eps, opts)
 	}
@@ -170,7 +173,14 @@ func BuildLight(g *graph.Graph, k int, eps float64, opts Options) (*Result, erro
 			return nil, fmt.Errorf("spanner: %w", err)
 		}
 	}
-	bigL := 2 * mstWeight
+	onMST := make([]bool, g.M())
+	for _, id := range mstEdges {
+		onMST[id] = true
+	}
+	// L = 2·w(MST), summed as the canonical fold up the BFS tree from the
+	// root (Lemma 1) — the value the measured convergecast computes.
+	bfsParent, bfsDepth := g.BFSTree(opts.Root)
+	bigL := 2 * congest.FoldTree(g, bfsParent, bfsDepth, ownedWeights(g, onMST))
 
 	res := &Result{MSTWeight: mstWeight}
 	inSpanner := make([]bool, g.M())
@@ -182,10 +192,6 @@ func BuildLight(g *graph.Graph, k int, eps float64, opts Options) (*Result, erro
 	}
 	for _, id := range mstEdges {
 		add(id)
-	}
-	onMST := make([]bool, g.M())
-	for _, id := range mstEdges {
-		onMST[id] = true
 	}
 
 	lowIDs, buckets := partitionEdges(g, onMST, bigL, eps)
@@ -256,6 +262,20 @@ func BuildLight(g *graph.Graph, k int, eps float64, opts Options) (*Result, erro
 		res.Lightness = 1
 	}
 	return res, nil
+}
+
+// ownedWeights returns each vertex's own term in the fold that fixes L:
+// the weights of the MST edges it owns (as the smaller endpoint), added
+// in edge-id order.
+func ownedWeights(g *graph.Graph, inTree []bool) []float64 {
+	own := make([]float64, g.N())
+	for id, in := range inTree {
+		if in {
+			e := g.Edge(graph.EdgeID(id))
+			own[min(e.U, e.V)] += e.W
+		}
+	}
+	return own
 }
 
 // partitionEdges splits the non-MST edges by weight relative to L: E′

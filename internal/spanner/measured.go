@@ -10,7 +10,8 @@ package spanner
 //	stage            program                              §/primitive
 //	mst              Borůvka/controlled-GHS               §3 (MST)
 //	bfs              BFS tree of G                        Lemma 1 substrate
-//	mst-weight-up    MST (w, id) funnel to the root       Lemma 1 upcast
+//	mst-weight-up    fold of the MST weight up the        Lemma 1 convergecast
+//	                 BFS tree
 //	mst-weight-down  flood of L = 2·w(MST)                Lemma 1 broadcast
 //	bucket-low       Baswana-Sen on E′ (w ≤ L/n)          §5 low bucket
 //	bucket-<i>       Baswana-Sen on E_i, one per          §5 weight scales
@@ -24,8 +25,8 @@ package spanner
 //
 // The output is bit-identical to the Accounted builder's with Cluster =
 // ClusterBaswana for the same seed (asserted by the determinism suite):
-// the MST is unique under the total (w, id) edge order, L is summed at
-// the root in the exact (w, id) order Kruskal accumulates, the bucket
+// the MST is unique under the total (w, id) edge order, L is the same
+// canonical fold over the canonical BFS tree in both modes, the bucket
 // arithmetic is the shared partitionEdges, and the per-bucket clustering
 // is driven by the pure sampling hash both executions evaluate.
 
@@ -47,9 +48,6 @@ func buildMeasured(g *graph.Graph, k int, eps float64, opts Options) (*Result, e
 	}
 	n, m := g.N(), g.M()
 	rt := opts.Root
-	if int(rt) < 0 || int(rt) >= n {
-		return nil, fmt.Errorf("spanner: root %d out of range", rt)
-	}
 
 	// Fault tolerance (see congest.FaultPlan). Under an active plan each
 	// stage gets an oracle validator and a bounded-retry policy; under
@@ -178,78 +176,35 @@ func buildMeasured(g *graph.Graph, k int, eps float64, opts Options) (*Result, e
 	if faulty {
 		wantDepth := g.BFSHopsMasked(rt, aliveEdges)
 		bfsValidate = func() error {
-			return congest.CheckBFS(g, rt, alive, bfsParent, bfsDepth, wantDepth)
+			return congest.CheckBFS(g, rt, alive, aliveEdges, bfsParent, bfsDepth, wantDepth)
 		}
 	}
 	if err := run("bfs", pools.BFS(n, rt, bfsParent, bfsDepth), stage(aliveEdges, bfsValidate, nil)...); err != nil {
 		return nil, fmt.Errorf("spanner: %w", err)
 	}
 
-	// Funnel the MST edges' (w, id) tuples to the root. Each tree edge is
-	// reported once, by its smaller endpoint — both endpoints know the
-	// edge was adopted, so the owner is locally decidable.
-	queues := make([][]int64, n)
-	for id, in := range inTree {
-		if !in {
-			continue
-		}
-		e := g.Edge(graph.EdgeID(id))
-		owner := e.U
-		if e.V < owner {
-			owner = e.V
-		}
-		queues[owner] = append(queues[owner], int64(math.Float64bits(e.W)), int64(id))
-	}
-	var gathered []int64
-	var funnelValidate func() error
+	// Fold the MST weight up the BFS tree: L is the canonical fold that
+	// the accounted builder computes sequentially. Each vertex starts
+	// from the MST edges it owns — both endpoints know the edge was
+	// adopted, so ownership is locally decidable.
+	own := ownedWeights(g, inTree)
+	foldSum := make([]float64, n)
+	var foldValidate func() error
 	if faulty {
-		// Oracle: the multiset funneled to the root must be exactly the
-		// tree edges' (w, id) tuples. inTree is final by now, so the
-		// expectation can be fixed before the stage runs.
-		want := sortedTreeTuples(g, inTree)
-		funnelValidate = func() error {
-			if len(gathered) != len(want) {
-				return fmt.Errorf("weight funnel delivered %d words, oracle has %d", len(gathered), len(want))
-			}
-			got := sortTuplePairs(gathered)
-			for i := range want {
-				if got[i] != want[i] {
-					return fmt.Errorf("weight funnel multiset mismatch at word %d", i)
-				}
+		// Oracle: the sequential fold over the validated BFS tree.
+		want := congest.FoldTree(g, bfsParent, bfsDepth, own)
+		foldValidate = func() error {
+			if math.Float64bits(foldSum[rt]) != math.Float64bits(want) {
+				return fmt.Errorf("weight fold reached %v at the root, oracle has %v", foldSum[rt], want)
 			}
 			return nil
 		}
 	}
-	funnelReset := func() { gathered = gathered[:0] }
-	if err := run("mst-weight-up", pools.Funnel(n, rt, bfsParent, 2, queues, &gathered),
-		stage(aliveEdges, funnelValidate, funnelReset)...); err != nil {
+	if err := run("mst-weight-up", pools.TreeFold(n, rt, bfsParent, own, foldSum),
+		stage(aliveEdges, foldValidate, nil)...); err != nil {
 		return nil, fmt.Errorf("spanner: %w", err)
 	}
-	if len(gathered) != 2*(compN-1) {
-		return nil, fmt.Errorf("spanner: weight funnel delivered %d tuples, want %d", len(gathered)/2, compN-1)
-	}
-	// Root-local: sum the tree weights in the total (w, id) edge order —
-	// the exact accumulation order of Kruskal, so the resulting L matches
-	// the accounted builder's bit for bit.
-	type tup struct {
-		w  float64
-		id int64
-	}
-	tups := make([]tup, compN-1)
-	for i := range tups {
-		tups[i] = tup{w: math.Float64frombits(uint64(gathered[2*i])), id: gathered[2*i+1]}
-	}
-	sort.Slice(tups, func(a, b int) bool {
-		if tups[a].w != tups[b].w {
-			return tups[a].w < tups[b].w
-		}
-		return tups[a].id < tups[b].id
-	})
-	var mstWeight float64
-	for _, t := range tups {
-		mstWeight += t.w
-	}
-	bigL := 2 * mstWeight
+	bigL := 2 * foldSum[rt]
 	lword := make([]int64, n)
 	lbits := int64(math.Float64bits(bigL))
 	var floodValidate func() error
@@ -294,6 +249,9 @@ func buildMeasured(g *graph.Graph, k int, eps float64, opts Options) (*Result, e
 		}
 	}
 
+	// The reported MST weight is Kruskal's (w, id)-order total, as in
+	// the accounted builder.
+	mstWeight := mst.WeightOf(g, inTree)
 	res := &Result{MSTWeight: mstWeight, LowBucketEdges: len(lowIDs)}
 	inSpanner := make([]bool, m)
 	add := func(id graph.EdgeID) {
@@ -479,43 +437,6 @@ func buildMeasured(g *graph.Graph, k int, eps float64, opts Options) (*Result, e
 		}
 	}
 	return res, nil
-}
-
-// sortedTreeTuples flattens the (Float64bits(w), id) tuples of the tree
-// edges in the total (w, id) order — the funnel validator's oracle.
-func sortedTreeTuples(g *graph.Graph, inTree []bool) []int64 {
-	var out []int64
-	for id, in := range inTree {
-		if !in {
-			continue
-		}
-		e := g.Edge(graph.EdgeID(id))
-		out = append(out, int64(math.Float64bits(e.W)), int64(id))
-	}
-	return sortTuplePairs(out)
-}
-
-// sortTuplePairs returns a copy of a flattened (Float64bits(w), id)
-// tuple slice with the tuples sorted by (w, id); flat is not mutated.
-func sortTuplePairs(flat []int64) []int64 {
-	np := len(flat) / 2
-	idx := make([]int, np)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		wa := math.Float64frombits(uint64(flat[2*idx[a]]))
-		wb := math.Float64frombits(uint64(flat[2*idx[b]]))
-		if wa != wb {
-			return wa < wb
-		}
-		return flat[2*idx[a]+1] < flat[2*idx[b]+1]
-	})
-	out := make([]int64, 0, len(flat))
-	for _, i := range idx {
-		out = append(out, flat[2*i], flat[2*i+1])
-	}
-	return out
 }
 
 // filterEdgeIDs returns the ids whose mask entry is set.

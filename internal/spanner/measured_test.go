@@ -173,6 +173,41 @@ func TestSpannerMeasuredWithinEnvelope(t *testing.T) {
 	}
 }
 
+// TestSpannerWeightFoldIsDepthBound: L reaches the root in one word per
+// tree edge — stage mst-weight-up costs the BFS tree's depth plus O(1)
+// rounds and at most two messages per tree edge, however many MST
+// edges there are.
+func TestSpannerWeightFoldIsDepthBound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"geometric-2500", graph.RandomGeometric(2500, 2, 3)},
+		{"knn-2000", graph.KNearestNeighborGraph(graph.RandomPoints(2000, 2, 1, 5), 8)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := BuildLight(tc.g, 2, 0.25, Options{Seed: 1, Mode: Measured})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, ecc := tc.g.N(), tc.g.HopEccentricity(0)
+			for _, s := range res.Stages {
+				if s.Name != "mst-weight-up" {
+					continue
+				}
+				if s.Stats.Rounds > ecc+3 {
+					t.Fatalf("mst-weight-up took %d rounds, root eccentricity %d", s.Stats.Rounds, ecc)
+				}
+				if s.Stats.Messages > int64(2*(n-1)) {
+					t.Fatalf("mst-weight-up sent %d messages, want <= %d", s.Stats.Messages, 2*(n-1))
+				}
+				return
+			}
+			t.Fatal("no mst-weight-up stage recorded")
+		})
+	}
+}
+
 // TestSpannerMeasuredRejects: the centralized per-bucket baseline cannot
 // run on the measured path, and disconnected graphs fail as in the
 // accounted mode.
