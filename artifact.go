@@ -30,11 +30,8 @@ func SLTArtifact(res *SLTResult, g *Graph, graphDigest string, kind string, eps 
 		GraphDigest: graphDigest, N: g.N(), M: g.M(),
 		Edges:  res.TreeEdges,
 		Parent: res.Parent, Dist: res.Dist,
-		MSTWeight: res.MSTWeight, Lightness: res.Lightness,
+		Weight: res.Weight, MSTWeight: res.MSTWeight, Lightness: res.Lightness,
 	}
-	// SLT results report tree weight via Lightness·MSTWeight; store the
-	// product the same way both sides compute it.
-	a.Weight = res.Lightness * res.MSTWeight
 	setArtifactCost(a, res.Cost)
 	return a
 }

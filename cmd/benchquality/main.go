@@ -27,11 +27,9 @@ import (
 	"os"
 	"strings"
 
+	"lightnet"
 	"lightnet/internal/benchfmt"
 	"lightnet/internal/experiments"
-	"lightnet/internal/graph"
-	"lightnet/internal/metrics"
-	"lightnet/internal/spanner"
 )
 
 func main() {
@@ -81,47 +79,35 @@ func buildReport(n int, seed int64, k int, eps float64, pairs int, edgelistPath 
 	return rep, nil
 }
 
-// qualityRows builds the accounted and measured spanners on g and
-// certifies both against the greedy baseline (computed once — it is
-// mode-independent).
-func qualityRows(spec string, g *graph.Graph, seed int64, k int, eps float64, pairs int) ([]benchfmt.QualityRow, error) {
-	bound := float64(2*k - 1)
-	greedyIDs, err := spanner.Greedy(g, bound)
-	if err != nil {
-		return nil, err
-	}
-	gMax, _, err := metrics.EdgeStretch(g, g.Subgraph(greedyIDs))
-	if err != nil {
-		return nil, fmt.Errorf("greedy stretch: %w", err)
-	}
+// qualityRows builds the accounted and measured spanners on g through
+// the public builder, with the options of the matching grid specs, and
+// certifies both with the grid's quality oracle.
+func qualityRows(spec string, g *lightnet.Graph, seed int64, k int, eps float64, pairs int) ([]benchfmt.QualityRow, error) {
 	var rows []benchfmt.QualityRow
-	for _, mode := range []string{"accounted", "measured"} {
-		opts := spanner.Options{Seed: seed, Cluster: spanner.ClusterBaswana}
-		if mode == "measured" {
-			opts = spanner.Options{Seed: seed, Mode: spanner.Measured}
-		}
-		res, err := spanner.BuildLight(g, k, eps, opts)
+	for _, s := range []experiments.Spec{
+		{Construction: "spanner", Mode: "accounted", Cluster: "baswana"},
+		{Construction: "spanner", Mode: "measured"},
+	} {
+		res, err := lightnet.BuildLightSpanner(g, k, eps, s.Options(seed, 0)...)
 		if err != nil {
-			return nil, fmt.Errorf("%s build: %w", mode, err)
+			return nil, fmt.Errorf("%s build: %w", s.Mode, err)
 		}
-		built := g.Subgraph(res.Edges)
-		maxS, _, err := metrics.EdgeStretch(g, built)
+		maxS, _, err := lightnet.VerifySpanner(g, res)
 		if err != nil {
-			return nil, fmt.Errorf("%s stretch: %w", mode, err)
+			return nil, fmt.Errorf("%s stretch: %w", s.Mode, err)
 		}
-		stats, err := metrics.PairStretchStats(g, built, pairs, seed)
+		q, err := experiments.QualityOracle(g, res.Edges, res.MSTWeight, k, pairs, seed)
 		if err != nil {
-			return nil, fmt.Errorf("%s pair stretch: %w", mode, err)
+			return nil, fmt.Errorf("%s: %w", s.Mode, err)
 		}
-		greedyLight := metrics.Lightness(g, greedyIDs, res.MSTWeight)
 		row := benchfmt.QualityRow{
-			Scenario: displaySpec(spec), Mode: mode, N: g.N(), M: g.M(), Bound: bound,
+			Scenario: displaySpec(spec), Mode: s.Mode, N: g.N(), M: g.M(), Bound: float64(2*k - 1),
 			Edges: len(res.Edges), Lightness: res.Lightness,
-			Stretch: maxS, StretchP99: stats.P99,
-			GreedyEdges: len(greedyIDs), GreedyLightness: greedyLight, GreedyStretch: gMax,
+			Stretch: maxS, StretchP99: q.StretchP99,
+			GreedyEdges: len(q.GreedyEdges), GreedyLightness: q.GreedyLightness, GreedyStretch: q.GreedyStretch,
 		}
-		if greedyLight > 0 {
-			row.RatioVsGreedy = res.Lightness / greedyLight
+		if q.GreedyLightness > 0 {
+			row.RatioVsGreedy = res.Lightness / q.GreedyLightness
 		}
 		rows = append(rows, row)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lightnet"
+	"lightnet/internal/experiments"
 	"lightnet/internal/store"
 )
 
@@ -31,10 +32,9 @@ func runBuild(args []string) error {
 		k        = fs.Int("k", 2, "spanner stretch parameter")
 		eps      = fs.Float64("eps", 0.25, "ε (γ for sltinv)")
 		root     = fs.Int("root", 0, "SLT root")
-		mode     = fs.String("mode", "accounted", "slt/spanner execution: accounted | measured")
-		work     = fs.Int("workers", 0, "engine worker pool for measured runs (0 = GOMAXPROCS)")
 		snapPath = fs.String("snapshot", "", "write the graph snapshot (*.csrz) here (required)")
 		artPath  = fs.String("artifact", "", "write the build artifact (*.art) here (required unless -obj none)")
+		sf       = addSpecFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -45,17 +45,27 @@ func runBuild(args []string) error {
 	if *snapPath == "" {
 		return errors.New("-snapshot is required: the path to write the graph snapshot")
 	}
-	if *obj != "none" && *artPath == "" {
-		return errors.New("-artifact is required unless -obj none")
-	}
-	switch *mode {
-	case "accounted":
-	case "measured":
-		if *obj != "slt" && *obj != "spanner" {
-			return fmt.Errorf("-mode measured is supported only for -obj slt and -obj spanner (got %q)", *obj)
+	var spec experiments.Spec
+	switch *obj {
+	case "none":
+		if err := sf.unused(*obj); err != nil {
+			return err
+		}
+	case "spanner", "slt", "sltinv":
+		if *artPath == "" {
+			return errors.New("-artifact is required unless -obj none")
+		}
+		var err error
+		if spec, err = sf.spec(experiments.Spec{Construction: *obj, K: *k, Eps: *eps, Gamma: *eps}); err != nil {
+			return err
+		}
+		// As in a store-enabled grid, a faulted build is diagnostic and
+		// writes no artifact.
+		if spec.Faults != nil {
+			return errors.New("-faults builds are diagnostic and write no artifact (run `lightnet -obj ... -faults` instead)")
 		}
 	default:
-		return fmt.Errorf("unknown -mode %q (accounted|measured)", *mode)
+		return fmt.Errorf("unknown -obj %q (spanner|slt|sltinv|none)", *obj)
 	}
 
 	t0 := time.Now()
@@ -76,33 +86,28 @@ func runBuild(args []string) error {
 
 	var buildMS int64
 	if *obj != "none" {
-		opts := []lightnet.Option{lightnet.WithSeed(*seed)}
-		if *mode == "measured" {
-			opts = append(opts, lightnet.WithMeasured(), lightnet.WithWorkers(*work))
-		}
+		opts := spec.Options(*seed, *sf.workers)
 		var art *store.Artifact
 		tb := time.Now()
 		switch *obj {
 		case "spanner":
-			res, err := lightnet.BuildLightSpanner(g, *k, *eps, opts...)
+			res, err := lightnet.BuildLightSpanner(g, spec.K, spec.Eps, opts...)
 			if err != nil {
 				return err
 			}
-			art = lightnet.SpannerArtifact(res, g, graphDigest, *k, *eps, *seed)
+			art = lightnet.SpannerArtifact(res, g, graphDigest, spec.K, spec.Eps, *seed)
 		case "slt":
-			res, err := lightnet.BuildSLT(g, lightnet.Vertex(*root), *eps, opts...)
+			res, err := lightnet.BuildSLT(g, lightnet.Vertex(*root), spec.Eps, opts...)
 			if err != nil {
 				return err
 			}
-			art = lightnet.SLTArtifact(res, g, graphDigest, "slt", *eps, *seed)
+			art = lightnet.SLTArtifact(res, g, graphDigest, "slt", spec.Eps, *seed)
 		case "sltinv":
-			res, err := lightnet.BuildSLTInverse(g, lightnet.Vertex(*root), *eps, opts...)
+			res, err := lightnet.BuildSLTInverse(g, lightnet.Vertex(*root), spec.Gamma, opts...)
 			if err != nil {
 				return err
 			}
-			art = lightnet.SLTArtifact(res, g, graphDigest, "sltinv", *eps, *seed)
-		default:
-			return fmt.Errorf("unknown -obj %q (spanner|slt|sltinv|none)", *obj)
+			art = lightnet.SLTArtifact(res, g, graphDigest, "sltinv", spec.Gamma, *seed)
 		}
 		buildMS = time.Since(tb).Milliseconds()
 

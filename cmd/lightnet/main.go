@@ -22,6 +22,15 @@
 // spanner: the accounted run with -cluster baswana, the distributable
 // per-bucket choice the pipeline executes).
 //
+// The five constructions (spanner, slt, sltinv, net, doubling) are
+// described by the grid's experiments.Spec: the flags fill a Spec,
+// Spec.Validate applies the grid's rules (its message is the CLI's
+// error), and Spec.Options maps it onto the public lightnet.Build*
+// builders — the same path a grid cell and `lightnet build` take.
+// -cluster defaults to "" (the paper's en17); without -scale a net uses
+// the grid's default scale, the eccentricity of vertex 0 over 6. psi,
+// mst and engine are CLI-only demos.
+//
 // Measured runs accept -faults with a deterministic fault spec — the
 // engine then drops/duplicates/delays messages and crashes vertices per
 // the plan, every pipeline stage is validated and retried, and crash
@@ -75,8 +84,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
-	"strings"
 	"syscall"
 	"time"
 
@@ -122,7 +129,7 @@ func main() {
 		printScenarios()
 		return
 	}
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "lightnet:", err)
 		os.Exit(1)
 	}
@@ -370,66 +377,50 @@ func runLoadgen(args []string) error {
 	return nil
 }
 
-func run() error {
+// run builds one object on a generated (or loaded) graph and prints its
+// certified quality and distributed cost. The five paper constructions
+// are described by an experiments.Spec, validated and mapped onto the
+// public builders exactly as a grid cell is; psi, mst and engine are
+// CLI-only demos.
+func run(args []string) error {
+	fs := flag.NewFlagSet("lightnet", flag.ContinueOnError)
 	var (
-		obj   = flag.String("obj", "spanner", "spanner|slt|sltinv|net|doubling|psi|mst")
-		kind  = flag.String("graph", "er", "scenario spec, e.g. er, geometric:dim=3, ba:m=4 (see `lightnet scenarios`)")
-		n     = flag.Int("n", 512, "number of vertices")
-		k     = flag.Int("k", 2, "spanner stretch parameter")
-		eps   = flag.Float64("eps", 0.25, "ε")
-		gamma = flag.Float64("gamma", 0.25, "γ for the inverse SLT")
-		scale = flag.Float64("scale", 0, "net scale Δ (default: diameter/6)")
-		delta = flag.Float64("delta", 0.5, "net approximation δ")
-		root  = flag.Int("root", 0, "SLT root")
-		mode  = flag.String("mode", "accounted", "slt/spanner execution: accounted (ledger formulas) | measured (genuine engine message passing)")
-		clust = flag.String("cluster", "en17", "spanner per-bucket algorithm: en17 | greedy | baswana (measured mode implies baswana)")
-		work  = flag.Int("workers", 0, "engine worker pool for measured runs (0 = GOMAXPROCS)")
-		fspec = flag.String("faults", "", "fault spec for measured runs, e.g. drop=0.01,crash=5@10 (docs/ARCHITECTURE.md)")
-		retry = flag.Int("retries", 0, "per-stage validator retry budget for -faults runs (0 = default)")
-		seed  = flag.Int64("seed", 1, "random seed")
-		nover = flag.Bool("noverify", false, "skip exact verification (large graphs)")
-		load  = flag.String("load", "", "load the graph from this file instead of generating")
-		save  = flag.String("save", "", "save the generated graph to this file")
+		obj   = fs.String("obj", "spanner", "spanner|slt|sltinv|net|doubling|psi|mst|engine")
+		kind  = fs.String("graph", "er", "scenario spec, e.g. er, geometric:dim=3, ba:m=4 (see `lightnet scenarios`)")
+		n     = fs.Int("n", 512, "number of vertices")
+		k     = fs.Int("k", 2, "spanner stretch parameter")
+		eps   = fs.Float64("eps", 0.25, "ε")
+		gamma = fs.Float64("gamma", 0.25, "γ for the inverse SLT")
+		scale = fs.Float64("scale", 0, "net scale Δ (default: eccentricity of vertex 0 / 6)")
+		delta = fs.Float64("delta", 0.5, "net approximation δ")
+		root  = fs.Int("root", 0, "SLT root")
+		seed  = fs.Int64("seed", 1, "random seed")
+		nover = fs.Bool("noverify", false, "skip exact verification (large graphs)")
+		load  = fs.String("load", "", "load the graph from this file instead of generating")
+		save  = fs.String("save", "", "save the generated graph to this file")
+		sf    = addSpecFlags(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
-	// Fail fast on mode misuse: only the SLT and the spanner support
-	// measured execution, matching the grid format's validation.
-	switch *mode {
-	case "accounted":
-	case "measured":
-		if *obj != "slt" && *obj != "spanner" {
-			return fmt.Errorf("-mode measured is supported only for -obj slt and -obj spanner (got %q)", *obj)
+	var spec experiments.Spec
+	switch *obj {
+	case "psi", "mst", "engine":
+		if err := sf.unused(*obj); err != nil {
+			return err
 		}
 	default:
-		return fmt.Errorf("unknown -mode %q (accounted|measured)", *mode)
-	}
-	switch *clust {
-	case "en17", "greedy", "baswana":
-	default:
-		return fmt.Errorf("unknown -cluster %q (en17|greedy|baswana)", *clust)
-	}
-	// Mirror the grid format's validation: -cluster applies only to the
-	// spanner, and a measured spanner always runs the baswana bucket
-	// clustering — an explicitly different -cluster is a contradiction,
-	// not something to override silently.
-	clusterSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "cluster" {
-			clusterSet = true
+		var err error
+		spec, err = sf.spec(experiments.Spec{
+			Construction: *obj, K: *k, Eps: *eps, Gamma: *gamma, Delta: *delta, Scale: *scale,
+		})
+		if err != nil {
+			return err
 		}
-	})
-	if clusterSet && *obj != "spanner" {
-		return fmt.Errorf("-cluster applies only to -obj spanner (got %q)", *obj)
-	}
-	if *mode == "measured" && clusterSet && *clust != "baswana" {
-		return fmt.Errorf("-mode measured runs the baswana bucket clustering (got -cluster %q)", *clust)
-	}
-	if *fspec != "" && *mode != "measured" {
-		return fmt.Errorf("-faults requires -mode measured (the accounted path exchanges no messages)")
-	}
-	if *retry != 0 && *fspec == "" {
-		return fmt.Errorf("-retries requires -faults (fault-free stages do not retry)")
 	}
 
 	var g *lightnet.Graph
@@ -462,74 +453,45 @@ func run() error {
 	}
 	fmt.Printf("graph %s: n=%d m=%d\n", *kind, g.N(), g.M())
 
+	opts := spec.Options(*seed, *sf.workers)
 	switch *obj {
 	case "spanner":
-		spOpts := []lightnet.Option{lightnet.WithSeed(*seed)}
-		switch *clust {
-		case "greedy":
-			spOpts = append(spOpts, lightnet.WithBucketAlgo(lightnet.BucketGreedy))
-		case "baswana":
-			spOpts = append(spOpts, lightnet.WithBucketAlgo(lightnet.BucketBaswana))
-		}
-		if *mode == "measured" {
-			spOpts = append(spOpts, lightnet.WithMeasured(), lightnet.WithWorkers(*work))
-		}
-		if *fspec != "" {
-			spOpts = append(spOpts, lightnet.WithFaultSpec(*fspec), lightnet.WithStageRetries(*retry))
-		}
-		res, err := lightnet.BuildLightSpanner(g, *k, *eps, spOpts...)
+		res, err := lightnet.BuildLightSpanner(g, spec.K, spec.Eps, opts...)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("spanner: edges=%d lightness=%.2f rounds=%d messages=%d mode=%s\n",
-			len(res.Edges), res.Lightness, res.Cost.Rounds, res.Cost.Messages, *mode)
+			len(res.Edges), res.Lightness, res.Cost.Rounds, res.Cost.Messages, *sf.mode)
 		if res.Cost.Measured {
 			printBreakdown(res.Cost)
 		}
 		printFaults(res.Faults)
-		if !*nover {
-			if res.Faults != nil && res.Faults.Survivors < g.N() {
-				fmt.Printf("degraded to %d/%d survivors: skipping full-graph verification\n",
-					res.Faults.Survivors, g.N())
-			} else {
-				maxS, meanS, err := lightnet.VerifySpanner(g, res)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("verified: stretch max=%.3f mean=%.3f (bound %.3f)\n",
-					maxS, meanS, float64(2**k-1)*(1+*eps))
+		if !*nover && !degraded(res.Faults, g.N()) {
+			maxS, meanS, err := lightnet.VerifySpanner(g, res)
+			if err != nil {
+				return err
 			}
+			fmt.Printf("verified: stretch max=%.3f mean=%.3f (bound %.3f)\n",
+				maxS, meanS, float64(2*spec.K-1)*(1+spec.Eps))
 		}
 	case "slt":
-		sltOpts := []lightnet.Option{lightnet.WithSeed(*seed)}
-		if *mode == "measured" {
-			sltOpts = append(sltOpts, lightnet.WithMeasured(), lightnet.WithWorkers(*work))
-		}
-		if *fspec != "" {
-			sltOpts = append(sltOpts, lightnet.WithFaultSpec(*fspec), lightnet.WithStageRetries(*retry))
-		}
-		res, err := lightnet.BuildSLT(g, lightnet.Vertex(*root), *eps, sltOpts...)
+		res, err := lightnet.BuildSLT(g, lightnet.Vertex(*root), spec.Eps, opts...)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("slt: lightness=%.3f rounds=%d messages=%d mode=%s\n",
-			res.Lightness, res.Cost.Rounds, res.Cost.Messages, *mode)
+			res.Lightness, res.Cost.Rounds, res.Cost.Messages, *sf.mode)
 		printBreakdown(res.Cost)
 		printFaults(res.Faults)
-		if !*nover {
-			if res.Faults != nil && res.Faults.Survivors < g.N() {
-				fmt.Printf("degraded to %d/%d survivors: skipping full-graph verification\n",
-					res.Faults.Survivors, g.N())
-			} else {
-				light, stretch, err := lightnet.VerifySLT(g, res)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("verified: lightness=%.3f rootStretch=%.3f\n", light, stretch)
+		if !*nover && !degraded(res.Faults, g.N()) {
+			light, stretch, err := lightnet.VerifySLT(g, res)
+			if err != nil {
+				return err
 			}
+			fmt.Printf("verified: lightness=%.3f rootStretch=%.3f\n", light, stretch)
 		}
 	case "sltinv":
-		res, err := lightnet.BuildSLTInverse(g, lightnet.Vertex(*root), *gamma, lightnet.WithSeed(*seed))
+		res, err := lightnet.BuildSLTInverse(g, lightnet.Vertex(*root), spec.Gamma, opts...)
 		if err != nil {
 			return err
 		}
@@ -538,13 +500,9 @@ func run() error {
 			return err
 		}
 		fmt.Printf("slt-inverse: lightness=%.4f (≤1+γ=%.4f) rootStretch=%.2f\n",
-			light, 1+*gamma, stretch)
+			light, 1+spec.Gamma, stretch)
 	case "net":
-		s := *scale
-		if s == 0 {
-			s = g.WeightedDiameterApprox() / 6
-		}
-		res, err := lightnet.BuildNet(g, s, *delta, lightnet.WithSeed(*seed))
+		res, err := lightnet.BuildNet(g, spec.NetScale(g), spec.Delta, opts...)
 		if err != nil {
 			return err
 		}
@@ -557,7 +515,7 @@ func run() error {
 			fmt.Println("verified: covering and separation hold")
 		}
 	case "doubling":
-		res, err := lightnet.BuildDoublingSpanner(g, *eps, lightnet.WithSeed(*seed))
+		res, err := lightnet.BuildDoublingSpanner(g, spec.Eps, opts...)
 		if err != nil {
 			return err
 		}
@@ -585,8 +543,6 @@ func run() error {
 		fmt.Printf("mst: edges=%d weight=%.1f\n", len(edges), w)
 	case "engine":
 		return runEngineDemos(g, *seed)
-	default:
-		return fmt.Errorf("unknown object %q", *obj)
 	}
 	return nil
 }
@@ -633,28 +589,14 @@ func runEngineDemos(g *lightnet.Graph, seed int64) error {
 	return nil
 }
 
-// printBreakdown dumps a cost's per-stage breakdown one line deep:
-// measured pipelines in stage-execution order, accounted ledgers in the
-// canonical sorted-label order (Ledger.Labels) — both deterministic, so
-// CLI output is reproducible byte-for-byte.
+// printBreakdown dumps a cost's per-stage round breakdown on one line
+// (see lightnet.Cost.StageString).
 func printBreakdown(c lightnet.Cost) {
-	parts := make([]string, 0, len(c.Breakdown))
+	label := "breakdown"
 	if c.Measured {
-		for _, s := range c.Stages {
-			parts = append(parts, fmt.Sprintf("%s:%d", s.Stage, s.Rounds))
-		}
-		fmt.Printf("stages: %s\n", strings.Join(parts, ";"))
-		return
+		label = "stages"
 	}
-	labels := make([]string, 0, len(c.Breakdown))
-	for label := range c.Breakdown {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	for _, label := range labels {
-		parts = append(parts, fmt.Sprintf("%s:%d", label, c.Breakdown[label]))
-	}
-	fmt.Printf("breakdown: %s\n", strings.Join(parts, ";"))
+	fmt.Printf("%s: %s\n", label, c.StageString())
 }
 
 // printFaults dumps a faulted measured run's diagnostics (no-op for
@@ -665,6 +607,16 @@ func printFaults(f *lightnet.FaultReport) {
 	}
 	fmt.Printf("faults: dropped=%d duplicated=%d delayed=%d retries=%d survivors=%d\n",
 		f.Dropped, f.Duplicated, f.Delayed, f.Retries, f.Survivors)
+}
+
+// degraded reports, and says, that a crash-degraded build spans only
+// the surviving component, so full-graph verification does not apply.
+func degraded(f *lightnet.FaultReport, n int) bool {
+	if f == nil || f.Survivors == n {
+		return false
+	}
+	fmt.Printf("degraded to %d/%d survivors: skipping full-graph verification\n", f.Survivors, n)
+	return true
 }
 
 // makeGraph resolves -graph through the scenario registry, so the CLI

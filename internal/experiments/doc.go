@@ -33,6 +33,9 @@
 // run leaves at most one orphan CSV row; RunGridResume (`lightnet
 // bench -resume`) prunes orphans, skips manifest-recorded cells, and
 // refuses a folder whose grid.json differs from the requested grid.
+// A Spec is also the CLI's build description: Spec.Validate is the one
+// rule set and Spec.Options the one mapping onto the public lightnet
+// builders, through which every cell builds its object and artifact.
 // Measured specs may carry a "faults" block plus "stage_retries"
 // (congest.FaultPlan — seeded message faults, crash schedules,
 // partitions); their rows populate the dropped/duplicated/delayed/

@@ -13,12 +13,10 @@ import (
 	"strings"
 	"time"
 
+	"lightnet"
 	"lightnet/internal/congest"
-	"lightnet/internal/doubling"
 	"lightnet/internal/graph"
 	"lightnet/internal/metrics"
-	"lightnet/internal/nets"
-	"lightnet/internal/slt"
 	"lightnet/internal/spanner"
 	"lightnet/internal/store"
 )
@@ -71,7 +69,8 @@ type Spec struct {
 	Gamma float64 `json:"gamma"`
 	// Delta is δ for nets. Default 0.5.
 	Delta float64 `json:"delta"`
-	// Scale is the net scale Δ; 0 derives it from the graph (ecc/6).
+	// Scale is the net scale Δ; 0 derives it from the graph (see
+	// NetScale).
 	Scale float64 `json:"scale"`
 	// Verify computes exact quality metrics (stretch; net covering and
 	// separation). Expensive on large graphs. Default false.
@@ -95,7 +94,9 @@ type Spec struct {
 	// and exact stretch), the built spanner's lightness ratio against
 	// it, and the p99 of the deterministic pair-sampled stretch
 	// distribution. Implies exact stretch verification of the built
-	// spanner. Oracle time is excluded from wall_ms. Default false.
+	// spanner (inside wall_ms, as with Verify); the oracle itself
+	// (greedy baseline, pair sample) is excluded from wall_ms. Default
+	// false.
 	Quality bool `json:"quality"`
 	// QualityPairs caps the deterministic pair sample behind
 	// stretch_p99 (0 = default 2000; small graphs use exact all-pairs).
@@ -159,84 +160,124 @@ func (g *Grid) Validate() error {
 		return fmt.Errorf("no experiments")
 	}
 	for i := range g.Experiments {
-		s := &g.Experiments[i]
-		switch s.Construction {
-		case "spanner", "slt", "sltinv", "net", "doubling", "engine":
-		default:
-			return fmt.Errorf("experiment %d: unknown construction %q", i, s.Construction)
-		}
-		if s.K < 0 || s.Eps < 0 || s.Gamma < 0 || s.Delta < 0 || s.Scale < 0 {
-			return fmt.Errorf("experiment %d: negative parameter (zero means default)", i)
-		}
-		if s.K == 0 {
-			s.K = 2
-		}
-		if s.Eps == 0 {
-			s.Eps = 0.25
-		}
-		if s.Gamma == 0 {
-			s.Gamma = 0.25
-		}
-		if s.Delta == 0 {
-			s.Delta = 0.5
-		}
-		if s.Program == "" {
-			s.Program = "bfs"
-		}
-		if s.Construction == "engine" {
-			switch s.Program {
-			case "bfs", "boruvka", "mis", "en17":
-			default:
-				return fmt.Errorf("experiment %d: unknown engine program %q", i, s.Program)
-			}
-		}
-		switch s.Mode {
-		case "", "accounted":
-		case "measured":
-			if s.Construction != "slt" && s.Construction != "spanner" {
-				return fmt.Errorf("experiment %d: mode \"measured\" supported only for constructions \"slt\" and \"spanner\"", i)
-			}
-		default:
-			return fmt.Errorf("experiment %d: unknown mode %q", i, s.Mode)
-		}
-		switch s.Cluster {
-		case "":
-		case "en17", "greedy", "baswana":
-			if s.Construction != "spanner" {
-				return fmt.Errorf("experiment %d: cluster %q applies only to construction \"spanner\"", i, s.Cluster)
-			}
-		default:
-			return fmt.Errorf("experiment %d: unknown cluster %q (en17|greedy|baswana)", i, s.Cluster)
-		}
-		if s.Construction == "spanner" && s.Mode == "measured" &&
-			s.Cluster != "" && s.Cluster != "baswana" {
-			return fmt.Errorf("experiment %d: measured spanner runs the baswana bucket clustering (got cluster %q)", i, s.Cluster)
-		}
-		if s.Quality && s.Construction != "spanner" {
-			return fmt.Errorf("experiment %d: quality oracle columns apply only to construction \"spanner\"", i)
-		}
-		if s.QualityPairs < 0 {
-			return fmt.Errorf("experiment %d: negative quality_pairs", i)
-		}
-		if s.QualityPairs == 0 {
-			s.QualityPairs = 2000
-		}
-		if s.Faults != nil {
-			if s.Mode != "measured" {
-				return fmt.Errorf("experiment %d: faults require mode \"measured\" (the accounted path exchanges no messages)", i)
-			}
-			if s.Quality {
-				return fmt.Errorf("experiment %d: quality oracle columns are not supported on faulted specs", i)
-			}
-			if err := s.Faults.Validate(0); err != nil {
-				return fmt.Errorf("experiment %d: %w", i, err)
-			}
-		}
-		if s.StageRetries != 0 && s.Faults == nil {
-			return fmt.Errorf("experiment %d: stage_retries applies only with a faults block", i)
+		if err := g.Experiments[i].Validate(); err != nil {
+			return fmt.Errorf("experiment %d: %w", i, err)
 		}
 	}
 	return nil
+}
+
+// Validate fills the spec's defaults and rejects malformed or
+// contradictory knobs. It is the one rule set for every build
+// description, whether it comes from a grid file or from CLI flags.
+func (s *Spec) Validate() error {
+	switch s.Construction {
+	case "spanner", "slt", "sltinv", "net", "doubling", "engine":
+	default:
+		return fmt.Errorf("unknown construction %q", s.Construction)
+	}
+	if s.K < 0 || s.Eps < 0 || s.Gamma < 0 || s.Delta < 0 || s.Scale < 0 {
+		return fmt.Errorf("negative parameter (zero means default)")
+	}
+	if s.K == 0 {
+		s.K = 2
+	}
+	if s.Eps == 0 {
+		s.Eps = 0.25
+	}
+	if s.Gamma == 0 {
+		s.Gamma = 0.25
+	}
+	if s.Delta == 0 {
+		s.Delta = 0.5
+	}
+	if s.Program == "" {
+		s.Program = "bfs"
+	}
+	if s.Construction == "engine" {
+		switch s.Program {
+		case "bfs", "boruvka", "mis", "en17":
+		default:
+			return fmt.Errorf("unknown engine program %q", s.Program)
+		}
+	}
+	switch s.Mode {
+	case "", "accounted":
+	case "measured":
+		if s.Construction != "slt" && s.Construction != "spanner" {
+			return fmt.Errorf("mode \"measured\" supported only for constructions \"slt\" and \"spanner\"")
+		}
+	default:
+		return fmt.Errorf("unknown mode %q", s.Mode)
+	}
+	switch s.Cluster {
+	case "":
+	case "en17", "greedy", "baswana":
+		if s.Construction != "spanner" {
+			return fmt.Errorf("cluster %q applies only to construction \"spanner\"", s.Cluster)
+		}
+	default:
+		return fmt.Errorf("unknown cluster %q (en17|greedy|baswana)", s.Cluster)
+	}
+	if s.Construction == "spanner" && s.Mode == "measured" &&
+		s.Cluster != "" && s.Cluster != "baswana" {
+		return fmt.Errorf("measured spanner runs the baswana bucket clustering (got cluster %q)", s.Cluster)
+	}
+	if s.Quality && s.Construction != "spanner" {
+		return fmt.Errorf("quality oracle columns apply only to construction \"spanner\"")
+	}
+	if s.QualityPairs < 0 {
+		return fmt.Errorf("negative quality_pairs")
+	}
+	if s.QualityPairs == 0 {
+		s.QualityPairs = 2000
+	}
+	if s.Faults != nil {
+		if s.Mode != "measured" {
+			return fmt.Errorf("faults require mode \"measured\" (the accounted path exchanges no messages)")
+		}
+		if s.Quality {
+			return fmt.Errorf("quality oracle columns are not supported on faulted specs")
+		}
+		if err := s.Faults.Validate(0); err != nil {
+			return err
+		}
+	}
+	if s.StageRetries != 0 && s.Faults == nil {
+		return fmt.Errorf("stage_retries applies only with a faults block")
+	}
+	return nil
+}
+
+// Options maps a validated spec onto the public builders' options: the
+// seed, the spanner's bucket algorithm, measured execution on a pool of
+// workers, and an active fault plan with its retry budget. An inactive
+// plan (e.g. "faults": {}) builds fault-free. The grid, the CLI and
+// cmd/benchquality all build through this one mapping.
+func (s Spec) Options(seed int64, workers int) []lightnet.Option {
+	opts := []lightnet.Option{lightnet.WithSeed(seed)}
+	switch s.Cluster {
+	case "greedy":
+		opts = append(opts, lightnet.WithBucketAlgo(lightnet.BucketGreedy))
+	case "baswana":
+		opts = append(opts, lightnet.WithBucketAlgo(lightnet.BucketBaswana))
+	}
+	if s.Mode == "measured" {
+		opts = append(opts, lightnet.WithMeasured(), lightnet.WithWorkers(workers))
+	}
+	if s.Faults.Active() {
+		opts = append(opts, lightnet.WithFaultSpec(s.Faults.String()), lightnet.WithStageRetries(s.StageRetries))
+	}
+	return opts
+}
+
+// NetScale resolves the net scale Δ: Scale when set, otherwise the
+// eccentricity of vertex 0 over 6.
+func (s Spec) NetScale(g *graph.Graph) float64 {
+	if s.Scale != 0 {
+		return s.Scale
+	}
+	return g.Eccentricity(0) / 6
 }
 
 // DefaultGrid is the five-headline-construction grid used when no file
@@ -288,18 +329,12 @@ type Row struct {
 	GreedyStretch   float64
 	RatioVsGreedy   float64
 	StretchP99      float64
-	// Fault columns (cells run under an active Spec.Faults plan;
-	// rendered empty when Faulted is false): injected message faults,
-	// extra stage attempts the validators forced, and the size of the
-	// root's surviving component under crash-stop faults (= n when
-	// nobody is permanently down). All deterministic — the fault stream
-	// is a pure hash of the plan, so faulted CSVs reproduce too.
-	Dropped    int64
-	Duplicated int64
-	Delayed    int64
-	Retries    int
-	Survivors  int
-	Faulted    bool
+	// Faults fills the fault columns of a cell run under an active
+	// Spec.Faults plan (nil renders them empty): injected message
+	// faults, extra stage attempts the validators forced, and the size
+	// of the root's surviving component. All deterministic — the fault
+	// stream is a pure hash of the plan, so faulted CSVs reproduce too.
+	Faults *lightnet.FaultReport
 	// Stages is the per-stage round breakdown ("stage:rounds;..."):
 	// pipeline order for measured runs, sorted ledger labels for
 	// accounted ones. Deterministic, so CSVs reproduce byte-for-byte.
@@ -328,63 +363,34 @@ func (r Row) Record() []string {
 		}
 		return strconv.FormatFloat(x, 'f', 4, 64)
 	}
-	fi := func(x int64) string {
-		if !r.Faulted {
-			return ""
-		}
-		return strconv.FormatInt(x, 10)
-	}
-	return []string{
+	rec := []string{
 		r.Construction, r.Workload,
 		strconv.Itoa(r.N), strconv.Itoa(r.M),
 		strconv.FormatInt(r.Seed, 10), strconv.Itoa(r.Repeat), r.Params, r.Mode,
 		strconv.FormatInt(r.Rounds, 10), strconv.FormatInt(r.Messages, 10),
 		strconv.Itoa(r.Size), f(r.Lightness), f(r.Stretch),
 		f(r.GreedyLightness), f(r.GreedyStretch), f(r.RatioVsGreedy), f(r.StretchP99),
-		fi(r.Dropped), fi(r.Duplicated), fi(r.Delayed),
-		fi(int64(r.Retries)), fi(int64(r.Survivors)),
-		r.Stages,
-		strconv.FormatFloat(r.WallMS, 'f', 3, 64),
 	}
-}
-
-// stageBreakdown renders a measured pipeline's per-stage rounds in
-// execution order.
-func stageBreakdown(stages []congest.StageStats) string {
-	parts := make([]string, len(stages))
-	for i, s := range stages {
-		parts[i] = fmt.Sprintf("%s:%d", s.Name, s.Stats.Rounds)
+	if x := r.Faults; x != nil {
+		rec = append(rec, strconv.FormatInt(x.Dropped, 10), strconv.FormatInt(x.Duplicated, 10),
+			strconv.FormatInt(x.Delayed, 10), strconv.Itoa(x.Retries), strconv.Itoa(x.Survivors))
+	} else {
+		rec = append(rec, "", "", "", "", "")
 	}
-	return strings.Join(parts, ";")
-}
-
-// ledgerBreakdown renders an accounted ledger's per-label rounds in the
-// canonical sorted order (Ledger.Labels), keeping CSV output
-// byte-reproducible.
-func ledgerBreakdown(l *congest.Ledger) string {
-	by := l.ByLabel()
-	labels := l.Labels()
-	parts := make([]string, len(labels))
-	for i, label := range labels {
-		parts[i] = fmt.Sprintf("%s:%d", label, by[label])
-	}
-	return strings.Join(parts, ";")
+	return append(rec, r.Stages, strconv.FormatFloat(r.WallMS, 'f', 3, 64))
 }
 
 // runCell executes one grid cell and fills every Row column except the
 // identity ones the caller owns. With wantArt (store-enabled runs,
 // spanner/slt/sltinv only) it additionally packages the result as a
 // store artifact — built from the same in-memory result, so emission
-// costs no rebuild; the caller fills GraphDigest/N/M and serializes.
+// costs no rebuild; the caller fills GraphDigest and serializes.
 func runCell(spec Spec, g *graph.Graph, seed int64, workers int, wantArt bool) (Row, *store.Artifact, error) {
 	row := Row{
 		Lightness: math.NaN(), Stretch: math.NaN(), Mode: "accounted",
 		GreedyLightness: math.NaN(), GreedyStretch: math.NaN(),
 		RatioVsGreedy: math.NaN(), StretchP99: math.NaN(),
 	}
-	// The quality oracle runs after the wall-time capture: it certifies
-	// the construction, it is not part of it.
-	var quality func() error
 	if spec.Construction == "engine" {
 		row.Params = fmt.Sprintf("program=%s workers=%d", spec.Program, workers)
 		row.Mode = "measured" // elementary programs are always measured
@@ -398,56 +404,40 @@ func runCell(spec Spec, g *graph.Graph, seed int64, workers int, wantArt bool) (
 		row.Stages = fmt.Sprintf("%s:%d", spec.Program, stats.Rounds) // one-stage run
 		return row, nil, nil
 	}
-	var art *store.Artifact
-	// Only the ledger-accounted constructions need the hop-diameter
-	// (two BFS traversals) and a ledger.
-	d := g.HopDiameterApprox()
-	led := congest.NewLedger()
+	if spec.Mode == "measured" {
+		row.Mode = "measured"
+	}
+	// The hop-diameter (two BFS traversals) feeds the round accounting;
+	// computing it here keeps it out of the cell's wall time.
+	opts := append(spec.Options(seed, workers), lightnet.WithHopDiameter(g.HopDiameterApprox()))
+	var (
+		art  *store.Artifact
+		cost lightnet.Cost
+		// The quality oracle runs after the wall-time capture: it
+		// certifies the construction, it is not part of it.
+		quality func() error
+	)
 	start := time.Now()
 	switch spec.Construction {
 	case "spanner":
-		cluster := spec.Cluster
-		if spec.Mode == "measured" {
-			cluster = "baswana" // the measured pipeline's bucket algorithm
-		}
 		row.Params = fmt.Sprintf("k=%d eps=%g", spec.K, spec.Eps)
-		if cluster != "" && cluster != "en17" {
-			row.Params += " cluster=" + cluster
-		}
-		sopts := spanner.Options{Seed: seed, Ledger: led, HopDiam: d}
-		switch cluster {
-		case "greedy":
-			sopts.Cluster = spanner.ClusterGreedy
-		case "baswana":
-			sopts.Cluster = spanner.ClusterBaswana
-		}
 		if spec.Mode == "measured" {
-			row.Mode = "measured"
-			sopts.Mode = spanner.Measured
-			sopts.Workers = workers
-			sopts.Faults = spec.Faults.Clone()
-			sopts.StageRetries = spec.StageRetries
+			row.Params += " cluster=baswana" // the measured pipeline's bucket algorithm
+		} else if spec.Cluster != "" && spec.Cluster != "en17" {
+			row.Params += " cluster=" + spec.Cluster
 		}
-		res, err := spanner.BuildLight(g, spec.K, spec.Eps, sopts)
+		res, err := lightnet.BuildLightSpanner(g, spec.K, spec.Eps, opts...)
 		if err != nil {
 			return row, nil, err
 		}
 		row.Size, row.Lightness = len(res.Edges), res.Lightness
-		if res.Stages != nil {
-			row.Stages = stageBreakdown(res.Stages) // pipeline order
-		}
-		if spec.Faults.Active() {
-			row.Faulted = true
-			row.Dropped, row.Duplicated, row.Delayed =
-				res.Faults.Dropped, res.Faults.Duplicated, res.Faults.Delayed
-			row.Retries, row.Survivors = res.PipelineRetries, res.Survivors
-		}
-		if spec.Verify {
+		cost, row.Faults = res.Cost, res.Faults
+		if spec.Verify || spec.Quality {
 			// Under crash-stop degradation the spanner covers the root's
 			// surviving component only; certify it on that subgraph.
 			target := g
-			if res.Alive != nil {
-				target = g.Subgraph(aliveEdgeIDs(g, res.Alive))
+			if row.Faults != nil && row.Faults.Alive != nil {
+				target = g.Subgraph(aliveEdgeIDs(g, row.Faults.Alive))
 			}
 			maxS, _, err := metrics.EdgeStretch(target, g.Subgraph(res.Edges))
 			if err != nil {
@@ -457,104 +447,74 @@ func runCell(spec Spec, g *graph.Graph, seed int64, workers int, wantArt bool) (
 		}
 		if spec.Quality {
 			quality = func() error {
-				return fillQuality(&row, g, res, spec, seed)
+				q, err := QualityOracle(g, res.Edges, res.MSTWeight, spec.K, spec.QualityPairs, seed)
+				if err != nil {
+					return err
+				}
+				row.StretchP99, row.GreedyStretch, row.GreedyLightness = q.StretchP99, q.GreedyStretch, q.GreedyLightness
+				if q.GreedyLightness > 0 {
+					row.RatioVsGreedy = row.Lightness / q.GreedyLightness
+				}
+				return nil
 			}
 		}
 		if wantArt {
-			art = &store.Artifact{
-				Kind: "spanner", K: spec.K, Eps: spec.Eps, Root: graph.NoVertex, Seed: seed,
-				Edges:  res.Edges,
-				Weight: res.Weight, MSTWeight: res.MSTWeight, Lightness: res.Lightness,
-				Stages: storeStages(res.Stages),
-			}
+			art = lightnet.SpannerArtifact(res, g, "", spec.K, spec.Eps, seed)
 		}
-	case "slt":
-		row.Params = fmt.Sprintf("eps=%g", spec.Eps)
-		sopts := slt.Options{Seed: seed, Ledger: led, HopDiam: d}
-		if spec.Mode == "measured" {
-			row.Mode = "measured"
-			sopts.Mode = slt.Measured
-			sopts.Workers = workers
-			sopts.Faults = spec.Faults.Clone()
-			sopts.StageRetries = spec.StageRetries
+	case "slt", "sltinv":
+		var res *lightnet.SLTResult
+		var err error
+		param := spec.Eps // ε, or γ for the inverse SLT
+		if spec.Construction == "slt" {
+			row.Params = fmt.Sprintf("eps=%g", param)
+			res, err = lightnet.BuildSLT(g, 0, param, opts...)
+		} else {
+			param = spec.Gamma
+			row.Params = fmt.Sprintf("gamma=%g", param)
+			res, err = lightnet.BuildSLTInverse(g, 0, param, opts...)
 		}
-		res, err := slt.Build(g, 0, spec.Eps, sopts)
 		if err != nil {
 			return row, nil, err
 		}
 		row.Size, row.Lightness = len(res.TreeEdges), res.Lightness
-		if res.Stages != nil {
-			row.Stages = stageBreakdown(res.Stages) // pipeline order
-		}
-		if spec.Faults.Active() {
-			row.Faulted = true
-			row.Dropped, row.Duplicated, row.Delayed =
-				res.Faults.Dropped, res.Faults.Duplicated, res.Faults.Delayed
-			row.Retries, row.Survivors = res.PipelineRetries, res.Survivors
-		}
+		cost, row.Faults = res.Cost, res.Faults
 		if spec.Verify {
-			if res.Alive != nil {
+			if row.Faults != nil && row.Faults.Alive != nil {
 				// Degraded run: the tree spans the root's surviving
 				// component only; certify root stretch on that subgraph
 				// (lightness already comes vs the component's MST).
-				stretch, err := degradedSLTStretch(g, res)
-				if err != nil {
+				if row.Stretch, err = degradedSLTStretch(g, res); err != nil {
 					return row, nil, err
 				}
-				row.Stretch = stretch
-			} else {
-				light, stretch, err := slt.Verify(g, res)
-				if err != nil {
-					return row, nil, err
-				}
-				row.Lightness, row.Stretch = light, stretch
-			}
-		}
-		if wantArt {
-			art = sltArtifact("slt", res, spec.Eps, seed)
-		}
-	case "sltinv":
-		row.Params = fmt.Sprintf("gamma=%g", spec.Gamma)
-		res, err := slt.BuildInverse(g, 0, spec.Gamma, slt.Options{Seed: seed, Ledger: led, HopDiam: d})
-		if err != nil {
-			return row, nil, err
-		}
-		row.Size, row.Lightness = len(res.TreeEdges), res.Lightness
-		if spec.Verify {
-			light, stretch, err := slt.Verify(g, res)
-			if err != nil {
+			} else if row.Lightness, row.Stretch, err = lightnet.VerifySLT(g, res); err != nil {
 				return row, nil, err
 			}
-			row.Lightness, row.Stretch = light, stretch
 		}
 		if wantArt {
-			art = sltArtifact("sltinv", res, spec.Gamma, seed)
+			art = lightnet.SLTArtifact(res, g, "", spec.Construction, param, seed)
 		}
 	case "net":
-		scale := spec.Scale
-		if scale == 0 {
-			scale = g.Eccentricity(0) / 6
-		}
+		scale := spec.NetScale(g)
 		row.Params = fmt.Sprintf("scale=%.4g delta=%g", scale, spec.Delta)
-		res, err := nets.Build(g, scale, spec.Delta, nets.Options{Seed: seed, Ledger: led, HopDiam: d})
+		res, err := lightnet.BuildNet(g, scale, spec.Delta, opts...)
 		if err != nil {
 			return row, nil, err
 		}
-		row.Size = len(res.Points)
+		row.Size, cost = len(res.Points), res.Cost
 		if spec.Verify {
-			if err := nets.Verify(g, res.Points, res.Alpha, res.Beta); err != nil {
+			if err := lightnet.VerifyNet(g, res); err != nil {
 				return row, nil, err
 			}
 		}
 	case "doubling":
 		row.Params = fmt.Sprintf("eps=%g", spec.Eps)
-		res, err := doubling.Build(g, spec.Eps, doubling.Options{Seed: seed, Ledger: led, HopDiam: d})
+		res, err := lightnet.BuildDoublingSpanner(g, spec.Eps, opts...)
 		if err != nil {
 			return row, nil, err
 		}
-		row.Size, row.Lightness = len(res.Edges), res.Lightness
+		row.Size, row.Lightness, cost = len(res.Edges), res.Lightness, res.Cost
 		if spec.Verify {
-			maxS, _, err := metrics.EdgeStretch(g, g.Subgraph(res.Edges))
+			maxS, _, err := lightnet.VerifySpanner(g, res)
 			if err != nil {
 				return row, nil, err
 			}
@@ -564,14 +524,7 @@ func runCell(spec Spec, g *graph.Graph, seed int64, workers int, wantArt bool) (
 		return row, nil, fmt.Errorf("unknown construction %q", spec.Construction)
 	}
 	row.WallMS = float64(time.Since(start).Microseconds()) / 1000
-	row.Rounds, row.Messages = led.Rounds(), led.Messages()
-	if row.Stages == "" {
-		row.Stages = ledgerBreakdown(led) // sorted-label dump
-	}
-	if art != nil {
-		art.Rounds, art.Messages = row.Rounds, row.Messages
-		art.Measured = row.Mode == "measured"
-	}
+	row.Rounds, row.Messages, row.Stages = cost.Rounds, cost.Messages, cost.StageString()
 	if quality != nil {
 		if err := quality(); err != nil {
 			return row, nil, err
@@ -580,65 +533,38 @@ func runCell(spec Spec, g *graph.Graph, seed int64, workers int, wantArt bool) (
 	return row, art, nil
 }
 
-// sltArtifact packages an SLT (or inverse-SLT) result for the store.
-func sltArtifact(kind string, res *slt.Result, eps float64, seed int64) *store.Artifact {
-	return &store.Artifact{
-		Kind: kind, Eps: eps, Root: res.Source, Seed: seed,
-		Edges:  res.TreeEdges,
-		Parent: res.Parent, Dist: res.Dist,
-		Weight: res.Weight, MSTWeight: res.MSTWeight, Lightness: res.Lightness,
-		Stages: storeStages(res.Stages),
-	}
+// SpannerQuality is the independent quality oracle's verdict on a built
+// spanner: the greedy [ADD+93] baseline at t = 2k−1 on the same graph
+// (its edges, exact stretch, and lightness against the built spanner's
+// MST weight) and the p99 of the built spanner's deterministic
+// pair-sampled stretch distribution.
+type SpannerQuality struct {
+	GreedyEdges     []graph.EdgeID
+	GreedyLightness float64
+	GreedyStretch   float64
+	StretchP99      float64
 }
 
-// storeStages converts a measured pipeline's stage stats to the store's
-// stage schema (nil for accounted runs).
-func storeStages(stages []congest.StageStats) []store.Stage {
-	if len(stages) == 0 {
-		return nil
-	}
-	out := make([]store.Stage, len(stages))
-	for i, s := range stages {
-		out[i] = store.Stage{Name: s.Name, Rounds: int64(s.Stats.Rounds), Messages: s.Stats.Messages}
-	}
-	return out
-}
-
-// fillQuality computes the quality-oracle columns of a spanner row: the
-// greedy [ADD+93] baseline at t = 2k−1 built independently on the same
-// graph, exact per-edge stretch of both spanners, and the deterministic
-// pair-sampled stretch tail. Every value is a pure function of
-// (graph, spec, seed), so reruns reproduce the columns byte for byte and
-// the CI quality gate can diff them exactly.
-func fillQuality(row *Row, g *graph.Graph, res *spanner.Result, spec Spec, seed int64) error {
-	t := float64(2*spec.K - 1)
-	built := g.Subgraph(res.Edges)
-	if math.IsNaN(row.Stretch) {
-		maxS, _, err := metrics.EdgeStretch(g, built)
-		if err != nil {
-			return fmt.Errorf("quality: built stretch: %w", err)
-		}
-		row.Stretch = maxS
-	}
-	stats, err := metrics.PairStretchStats(g, built, spec.QualityPairs, seed)
+// QualityOracle certifies a spanner's edges against the greedy baseline.
+// Every value is a pure function of (graph, edges, k, pairs, seed), so
+// reruns reproduce it byte for byte and the quality gates can diff it
+// exactly. The grid's quality columns and cmd/benchquality both come
+// from here.
+func QualityOracle(g *graph.Graph, edges []graph.EdgeID, mstWeight float64, k, pairs int, seed int64) (SpannerQuality, error) {
+	var q SpannerQuality
+	stats, err := metrics.PairStretchStats(g, g.Subgraph(edges), pairs, seed)
 	if err != nil {
-		return fmt.Errorf("quality: pair stretch: %w", err)
+		return q, fmt.Errorf("quality: pair stretch: %w", err)
 	}
-	row.StretchP99 = stats.P99
-	greedyIDs, err := spanner.Greedy(g, t)
-	if err != nil {
-		return fmt.Errorf("quality: greedy oracle: %w", err)
+	q.StretchP99 = stats.P99
+	if q.GreedyEdges, err = spanner.Greedy(g, float64(2*k-1)); err != nil {
+		return q, fmt.Errorf("quality: greedy oracle: %w", err)
 	}
-	gMax, _, err := metrics.EdgeStretch(g, g.Subgraph(greedyIDs))
-	if err != nil {
-		return fmt.Errorf("quality: greedy stretch: %w", err)
+	if q.GreedyStretch, _, err = metrics.EdgeStretch(g, g.Subgraph(q.GreedyEdges)); err != nil {
+		return q, fmt.Errorf("quality: greedy stretch: %w", err)
 	}
-	row.GreedyStretch = gMax
-	row.GreedyLightness = metrics.Lightness(g, greedyIDs, res.MSTWeight)
-	if row.GreedyLightness > 0 {
-		row.RatioVsGreedy = row.Lightness / row.GreedyLightness
-	}
-	return nil
+	q.GreedyLightness = metrics.Lightness(g, q.GreedyEdges, mstWeight)
+	return q, nil
 }
 
 // aliveEdgeIDs lists the edges with both endpoints in the surviving
@@ -656,11 +582,12 @@ func aliveEdgeIDs(g *graph.Graph, alive []bool) []graph.EdgeID {
 // degradedSLTStretch certifies a crash-degraded SLT: every survivor must
 // be reachable in the tree, and the maximum root stretch is measured
 // against exact shortest paths of the surviving subgraph.
-func degradedSLTStretch(g *graph.Graph, res *slt.Result) (float64, error) {
-	exact := g.Subgraph(aliveEdgeIDs(g, res.Alive)).Dijkstra(res.Source).Dist
+func degradedSLTStretch(g *graph.Graph, res *lightnet.SLTResult) (float64, error) {
+	alive := res.Faults.Alive
+	exact := g.Subgraph(aliveEdgeIDs(g, alive)).Dijkstra(res.Root).Dist
 	maxS := 1.0
 	for v := 0; v < g.N(); v++ {
-		if !res.Alive[v] || graph.Vertex(v) == res.Source {
+		if !alive[v] || graph.Vertex(v) == res.Root {
 			continue
 		}
 		if math.IsInf(res.Dist[v], 1) {
@@ -970,7 +897,6 @@ func runSpec(g *Grid, spec Spec, name, dir string, graphs map[graphKey]cachedGra
 				if art != nil {
 					rel := artifactRel(name, kind, n, rep)
 					art.GraphDigest = cached.digest
-					art.N, art.M = gr.N(), gr.M()
 					if _, err := store.WriteArtifact(filepath.Join(dir, rel), art); err != nil {
 						return err
 					}

@@ -21,6 +21,8 @@ package lightnet
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"lightnet/internal/congest"
 	"lightnet/internal/doubling"
@@ -79,19 +81,38 @@ type StageCost struct {
 	Messages int64
 }
 
-func costOf(l *congest.Ledger) Cost {
-	return Cost{Rounds: l.Rounds(), Messages: l.Messages(), Breakdown: l.ByLabel()}
+// StageString renders the per-stage round breakdown as
+// "stage:rounds;…": pipeline order for a measured run, sorted labels
+// (the canonical Ledger.Labels order) for an accounted one. Both are
+// deterministic, so grid CSV rows and CLI output reproduce byte for
+// byte.
+func (c Cost) StageString() string {
+	var parts []string
+	if c.Measured {
+		for _, s := range c.Stages {
+			parts = append(parts, fmt.Sprintf("%s:%d", s.Stage, s.Rounds))
+		}
+		return strings.Join(parts, ";")
+	}
+	labels := make([]string, 0, len(c.Breakdown))
+	for label := range c.Breakdown {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	for _, label := range labels {
+		parts = append(parts, fmt.Sprintf("%s:%d", label, c.Breakdown[label]))
+	}
+	return strings.Join(parts, ";")
 }
 
-func stageCosts(stages []congest.StageStats) []StageCost {
-	if len(stages) == 0 {
-		return nil
+// costOf reads a construction's ledger; stages is the measured
+// pipeline's per-stage cost (nil for accounted runs).
+func costOf(l *congest.Ledger, stages []congest.StageStats) Cost {
+	c := Cost{Rounds: l.Rounds(), Messages: l.Messages(), Breakdown: l.ByLabel(), Measured: stages != nil}
+	for _, s := range stages {
+		c.Stages = append(c.Stages, StageCost{Stage: s.Name, Rounds: int64(s.Stats.Rounds), Messages: s.Stats.Messages})
 	}
-	out := make([]StageCost, len(stages))
-	for i, s := range stages {
-		out[i] = StageCost{Stage: s.Name, Rounds: int64(s.Stats.Rounds), Messages: s.Stats.Messages}
-	}
-	return out
+	return c
 }
 
 // options is the shared option state.
@@ -158,13 +179,28 @@ func WithStageRetries(n int) Option { return func(o *options) { o.retries = n } 
 // FaultReport summarizes a faulted measured run: the injected message
 // faults, the extra stage attempts the validators forced, and the size
 // of the root's surviving component under crash-stop faults (= the
-// vertex count when nobody is permanently down).
+// vertex count when nobody is permanently down). Alive is that
+// component's vertex mask (nil when every vertex survives) — the
+// subgraph a degraded build is certified on.
 type FaultReport struct {
 	Dropped    int64
 	Duplicated int64
 	Delayed    int64
 	Retries    int
 	Survivors  int
+	Alive      []bool
+}
+
+// faultReport converts a measured pipeline's fault diagnostics; nil
+// when no fault plan was active (survivors is set only then).
+func faultReport(stats congest.FaultStats, retries, survivors int, alive []bool) *FaultReport {
+	if survivors == 0 {
+		return nil
+	}
+	return &FaultReport{
+		Dropped: stats.Dropped, Duplicated: stats.Duplicated, Delayed: stats.Delayed,
+		Retries: retries, Survivors: survivors, Alive: alive,
+	}
 }
 
 // faultPlan resolves the option's fault spec (nil when unset).
@@ -263,24 +299,14 @@ func BuildLightSpanner(g *Graph, k int, eps float64, opts ...Option) (*SpannerRe
 	if err != nil {
 		return nil, fmt.Errorf("lightnet: %w", err)
 	}
-	cost := costOf(ledger)
-	cost.Stages = stageCosts(res.Stages)
-	cost.Measured = res.Stages != nil
-	out := &SpannerResult{
+	return &SpannerResult{
 		Edges:     res.Edges,
 		Weight:    res.Weight,
 		MSTWeight: res.MSTWeight,
 		Lightness: res.Lightness,
-		Cost:      cost,
-	}
-	if res.Survivors > 0 { // set only when a fault plan was active
-		out.Faults = &FaultReport{
-			Dropped: res.Faults.Dropped, Duplicated: res.Faults.Duplicated,
-			Delayed: res.Faults.Delayed, Retries: res.PipelineRetries,
-			Survivors: res.Survivors,
-		}
-	}
-	return out, nil
+		Faults:    faultReport(res.Faults, res.PipelineRetries, res.Survivors, res.Alive),
+		Cost:      costOf(ledger, res.Stages),
+	}, nil
 }
 
 // VerifySpanner measures the exact maximum and mean stretch of a
@@ -297,7 +323,8 @@ type SLTResult struct {
 	TreeEdges []EdgeID
 	Parent    []EdgeID
 	Dist      []float64
-	// Lightness = tree weight / MST weight.
+	// Weight is the tree weight; Lightness = Weight / MSTWeight.
+	Weight    float64
 	Lightness float64
 	MSTWeight float64
 	// Faults reports a faulted measured run's diagnostics (nil when no
@@ -347,26 +374,17 @@ func BuildSLTInverse(g *Graph, root Vertex, gamma float64, opts ...Option) (*SLT
 }
 
 func sltResult(root Vertex, res *slt.Result, ledger *congest.Ledger) *SLTResult {
-	cost := costOf(ledger)
-	cost.Stages = stageCosts(res.Stages)
-	cost.Measured = res.Stages != nil
-	out := &SLTResult{
+	return &SLTResult{
 		Root:      root,
 		TreeEdges: res.TreeEdges,
 		Parent:    res.Parent,
 		Dist:      res.Dist,
+		Weight:    res.Weight,
 		Lightness: res.Lightness,
 		MSTWeight: res.MSTWeight,
-		Cost:      cost,
+		Faults:    faultReport(res.Faults, res.PipelineRetries, res.Survivors, res.Alive),
+		Cost:      costOf(ledger, res.Stages),
 	}
-	if res.Survivors > 0 { // set only when a fault plan was active
-		out.Faults = &FaultReport{
-			Dropped: res.Faults.Dropped, Duplicated: res.Faults.Duplicated,
-			Delayed: res.Faults.Delayed, Retries: res.PipelineRetries,
-			Survivors: res.Survivors,
-		}
-	}
-	return out
 }
 
 // VerifySLT certifies an SLT: returns the exact lightness and maximum
@@ -410,7 +428,7 @@ func BuildNet(g *Graph, scale, delta float64, opts ...Option) (*NetResult, error
 		Alpha:      res.Alpha,
 		Beta:       res.Beta,
 		Iterations: res.Iterations,
-		Cost:       costOf(ledger),
+		Cost:       costOf(ledger, nil),
 	}, nil
 }
 
@@ -436,7 +454,7 @@ func BuildDoublingSpanner(g *Graph, eps float64, opts ...Option) (*SpannerResult
 		Weight:    res.Weight,
 		MSTWeight: res.MSTWeight,
 		Lightness: res.Lightness,
-		Cost:      costOf(ledger),
+		Cost:      costOf(ledger, nil),
 	}, nil
 }
 
@@ -478,7 +496,7 @@ func BaselineBaswanaSen(g *Graph, k int, opts ...Option) (*SpannerResult, error)
 	w := g.WeightOf(edges)
 	return &SpannerResult{
 		Edges: edges, Weight: w, MSTWeight: mstW,
-		Lightness: w / mstW, Cost: costOf(ledger),
+		Lightness: w / mstW, Cost: costOf(ledger, nil),
 	}, nil
 }
 

@@ -16,7 +16,6 @@ import (
 
 	"lightnet/internal/congest"
 	"lightnet/internal/euler"
-	"lightnet/internal/experiments"
 	"lightnet/internal/mst"
 )
 
@@ -124,10 +123,7 @@ func TestSoakMeasuredScale100k(t *testing.T) {
 		t.Skip("soak")
 	}
 	const n = 100_000
-	g, err := experiments.BuildWorkload("knn", n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := KNearestNeighbor(n, 2, 6, 1) // the "knn" scenario's defaults
 	m := float64(g.M())
 	// Empirical (go1.24, workers=1): SLT ≈ 970 bytes/edge, spanner ≈
 	// 1060 bytes/edge — the outbox/arena floor is ~64·m bytes alone.
